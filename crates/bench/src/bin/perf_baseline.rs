@@ -57,7 +57,6 @@ use cohmeleon_bench::policies::PolicyKind;
 use cohmeleon_bench::tracked::{
     soc6_params, suite_grid, sweep_grid, SEED, SUITE, TRAIN_ITERATIONS,
 };
-use cohmeleon_cache::{set_default_walk_mode, TagStats, WalkMode};
 use cohmeleon_core::agent::AgentBuilder;
 use cohmeleon_core::policy::{FixedPolicy, Policy};
 use cohmeleon_core::router::{AgentScope, PolicyRouter};
@@ -343,45 +342,6 @@ fn run_fleet_dispatch(grid: &SweepGrid) -> Result<(f64, String), String> {
     Ok((wall, bytes))
 }
 
-/// Runs the tracked soc6-scale suite under `mode` and returns the summed
-/// tag-walk counters plus the per-cell structural hashes. The counters
-/// are deterministic op counts (associative set traversals, probes, hint
-/// hits…), so the `tag_walk` section's quoted reduction is
-/// machine-independent — unlike wall time. The process-wide default walk
-/// mode is restored to `Run` afterwards; `perf_baseline` runs its suites
-/// sequentially, so flipping it is safe here.
-fn run_tag_walk(mode: WalkMode) -> (TagStats, Vec<u64>) {
-    set_default_walk_mode(mode);
-    let grid = suite_grid(soc6(), &soc6_params(), TRAIN_ITERATIONS);
-    let mut stats = TagStats::default();
-    let mut hashes = vec![0u64; grid.num_cells()];
-    grid.execute(&Serial, &mut |result: CellResult| {
-        stats.merge(&result.result.tag_walk);
-        hashes[grid.cell_index(result.cell)] = result.result.structural_hash();
-    });
-    set_default_walk_mode(WalkMode::Run);
-    (stats, hashes)
-}
-
-fn tag_walk_json(reference: &TagStats, run: &TagStats) -> String {
-    format!(
-        "{{\"reference_scans\": {}, \"run_scans\": {}, \"scan_ratio\": {:.2}, \
-         \"reference_probes\": {}, \"run_probes\": {}, \"fused_probes\": {}, \
-         \"hint_hits\": {}, \"empty_skips\": {}, \"stripe_probes\": {}, \
-         \"stripe_members\": {}}}",
-        reference.scans,
-        run.scans,
-        reference.scans as f64 / run.scans.max(1) as f64,
-        reference.probes,
-        run.probes,
-        run.fused_probes,
-        run.hint_hits,
-        run.empty_skips,
-        run.stripe_probes,
-        run.stripe_members,
-    )
-}
-
 /// Per-cell structural hashes of a grid run, indexed densely.
 fn cell_hashes<E: Executor>(grid: &SweepGrid, executor: &E) -> Vec<u64> {
     let mut hashes = vec![0u64; grid.num_cells()];
@@ -626,53 +586,6 @@ fn smoke(args: &Args) -> ExitCode {
         }
     }
 
-    // Tag-walk op accounting: both walk modes must produce identical cell
-    // hashes, the run-level walk must hold its ≥2x scan reduction on the
-    // tracked suite, and the deterministic scan totals must reproduce the
-    // committed tag_walk baseline bit for bit. These are op counts, not
-    // wall time — always checked, even under COHMELEON_SKIP_PERF_GUARD.
-    let (run_stats, run_hashes) = run_tag_walk(WalkMode::Run);
-    let (reference_stats, reference_hashes) = run_tag_walk(WalkMode::PerLine);
-    if run_hashes != reference_hashes {
-        eprintln!("perf_baseline --smoke: Run walk cell hashes differ from the PerLine reference");
-        return ExitCode::FAILURE;
-    }
-    if reference_stats.scans < 2 * run_stats.scans {
-        eprintln!(
-            "perf_baseline --smoke: run-level walk lost its 2x scan reduction: \
-             {} reference scans vs {} run scans",
-            reference_stats.scans, run_stats.scans
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Ok(json) = std::fs::read_to_string(BASELINE_FILE) {
-        if let Some(walk) = extract_object(&json, "tag_walk")
-            .and_then(|sect| extract_object(sect, "baseline"))
-        {
-            let pinned = |field: &str| extract_field(walk, field).map(|v| v as u64);
-            let expected = (
-                pinned("reference_scans").unwrap_or(0),
-                pinned("run_scans").unwrap_or(0),
-            );
-            if (reference_stats.scans, run_stats.scans) != expected {
-                eprintln!(
-                    "perf_baseline --smoke: tag-walk scan totals diverged from the committed \
-                     baseline: got {:?}, expected {expected:?} (reference, run) — probe \
-                     accounting changed; regenerate {BASELINE_FILE} only for *intentional* \
-                     walk changes",
-                    (reference_stats.scans, run_stats.scans)
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!(
-        "  tag_walk: {} reference scans vs {} run scans ({:.2}x, hashes identical)",
-        reference_stats.scans,
-        run_stats.scans,
-        reference_stats.scans as f64 / run_stats.scans.max(1) as f64
-    );
-
     println!(
         "perf_baseline --smoke: ok ({e1} events, {i1} invocations, {c1} simulated cycles; \
          soc6 {}/{}/{}; executors bit-identical; 2- and 3-shard merges bit-identical; \
@@ -727,31 +640,6 @@ fn main() -> ExitCode {
     let grid6 = suite_grid(soc6(), &soc6_params(), TRAIN_ITERATIONS);
     let (wall6, events6, invocations6, cycles6) = best_of(&grid6, args.reps, "soc6×large");
     let current6 = measurement_json(wall6, events6, invocations6, cycles6);
-
-    // Tag-walk op accounting on the same soc6 suite: one run per walk
-    // mode, cell hashes verified identical before any number is recorded.
-    // Scan totals are deterministic, so the recorded reduction is a claim
-    // about work, not about this machine's clock.
-    let (run_stats, run_hashes) = run_tag_walk(WalkMode::Run);
-    let (reference_stats, reference_hashes) = run_tag_walk(WalkMode::PerLine);
-    if run_hashes != reference_hashes {
-        eprintln!(
-            "perf_baseline: Run walk cell hashes differ from the PerLine reference — \
-             refusing to record"
-        );
-        return ExitCode::FAILURE;
-    }
-    let current_walk = tag_walk_json(&reference_stats, &run_stats);
-    println!(
-        "  tag_walk: {} reference scans vs {} run scans → {:.2}x fewer \
-         ({} fused probes, {} hint hits, {} empty-set skips; hashes identical)",
-        reference_stats.scans,
-        run_stats.scans,
-        reference_stats.scans as f64 / run_stats.scans.max(1) as f64,
-        run_stats.fused_probes,
-        run_stats.hint_hits,
-        run_stats.empty_skips
-    );
 
     // Executor speedup: one multi-seed grid, Serial vs WorkStealing,
     // verified bit-identical per cell before any number is recorded.
@@ -1006,12 +894,6 @@ fn main() -> ExitCode {
         .and_then(|sect| extract_object(sect, "baseline"))
         .map(str::to_owned)
         .unwrap_or_else(|| current_serve.clone());
-    let baseline_walk = previous
-        .as_deref()
-        .and_then(|json| extract_object(json, "tag_walk"))
-        .and_then(|sect| extract_object(sect, "baseline"))
-        .map(str::to_owned)
-        .unwrap_or_else(|| current_walk.clone());
 
     let report = format!(
         "{{\n  \"suite\": \"soc1 x quick x [fixed-non-coh-dma, manual, cohmeleon]\",\n  \
@@ -1033,10 +915,7 @@ fn main() -> ExitCode {
          \"baseline\": {baseline_dispatch},\n    \"current\": {current_dispatch}\n  }},\n  \
          \"serve_dispatch\": {{\n    \
          \"suite\": \"loopback decision server, 2 clients x 16-query batches, every response verified vs local frozen dispatch\",\n    \
-         \"baseline\": {baseline_serve},\n    \"current\": {current_serve}\n  }},\n  \
-         \"tag_walk\": {{\n    \
-         \"suite\": \"soc6-scale suite, Run vs PerLine walk mode, deterministic tag-array op counts (hashes verified identical)\",\n    \
-         \"baseline\": {baseline_walk},\n    \"current\": {current_walk}\n  }}\n}}\n"
+         \"baseline\": {baseline_serve},\n    \"current\": {current_serve}\n  }}\n}}\n"
     );
     if let Err(e) = std::fs::write(args.out(), &report) {
         eprintln!("perf_baseline: cannot write {}: {e}", args.out());

@@ -6,10 +6,7 @@
 //! layout changes — fails loudly if it moves modeled behaviour by a
 //! single bit. The constants were recorded from the per-pop, map-shaped
 //! reference implementation (print them with `--nocapture` after an
-//! *intentional* model change to regenerate). These run under the
-//! default run-level tag walk; `tests/walk_modes.rs` replays the soc1
-//! suite under `WalkMode::PerLine` and pins the same hashes, so both
-//! walk modes are anchored to the same recorded machine.
+//! *intentional* model change to regenerate).
 
 use cohmeleon_bench::tracked::{soc6_params, suite_grid, TRAIN_ITERATIONS};
 use cohmeleon_exp::{CellResult, Serial, SweepGrid};

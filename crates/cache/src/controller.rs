@@ -13,8 +13,6 @@
 //! * **Owner/sharer exclusivity** — an entry has an owner or sharers, never
 //!   both.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use cohmeleon_core::PartitionId;
 
 use crate::effects::{AccessEffects, FlushEffects};
@@ -22,51 +20,7 @@ use crate::geometry::{CacheGeometry, LineAddr};
 use crate::l2::L2Cache;
 use crate::llc::{LlcEntry, LlcPartition, SharerSet};
 use crate::mesi::MesiState;
-use crate::tagarray::{Probe, TagStats};
-
-/// How the controller walks the tag arrays. Both modes produce identical
-/// observable behaviour — same hits, victims, effects, directory state and
-/// LRU evolution as seen through any subsequent probe — and differ only in
-/// how many set traversals they spend getting there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalkMode {
-    /// The per-line reference walk: classic two-pass probes (tag scan plus
-    /// free-way/arg-min scan on a miss), per-victim directory lookups, and
-    /// double-lookup owner recalls. This is the behavioural baseline the
-    /// property suite pins the run-level walk against, and the denominator
-    /// of the tracked `tag_walk` operation-count ratio.
-    PerLine,
-    /// The run-level walk: fused single-traversal probes, verified way
-    /// hints for L2-victim directory updates, single-scan owner recalls and
-    /// set-stripe batch resolution for large LLC-coherent bursts.
-    Run,
-}
-
-/// Process-wide default [`WalkMode`] for newly built controllers
-/// (`Run` unless overridden; the perf harness flips it to measure the
-/// per-line reference).
-static DEFAULT_WALK_MODE: AtomicU8 = AtomicU8::new(1);
-
-/// The process-wide default [`WalkMode`] applied by
-/// [`CoherenceController::new`].
-pub fn default_walk_mode() -> WalkMode {
-    if DEFAULT_WALK_MODE.load(Ordering::Relaxed) == 0 {
-        WalkMode::PerLine
-    } else {
-        WalkMode::Run
-    }
-}
-
-/// Sets the process-wide default [`WalkMode`] for controllers built after
-/// this call. Existing controllers are unaffected; use
-/// [`CoherenceController::set_walk_mode`] for those.
-pub fn set_default_walk_mode(mode: WalkMode) {
-    let v = match mode {
-        WalkMode::PerLine => 0,
-        WalkMode::Run => 1,
-    };
-    DEFAULT_WALK_MODE.store(v, Ordering::Relaxed);
-}
+use crate::tagarray::TagStats;
 
 /// Identifies one private (L2) cache: processors first, then fully-coherent
 /// accelerator tiles, in SoC construction order.
@@ -160,12 +114,6 @@ pub struct CoherenceController {
     map: AddressMap,
     l2s: Vec<L2Cache>,
     llcs: Vec<LlcPartition>,
-    walk_mode: WalkMode,
-    /// Reusable buffers for the set-stripe range walk (allocation-free hot
-    /// path): the members of the set currently being resolved and their
-    /// per-member probe outcomes.
-    stripe_members: Vec<LineAddr>,
-    stripe_out: Vec<Probe>,
 }
 
 impl CoherenceController {
@@ -180,30 +128,12 @@ impl CoherenceController {
         let llcs = (0..map.num_partitions())
             .map(|_| LlcPartition::new(llc_geometry))
             .collect();
-        CoherenceController {
-            map,
-            l2s,
-            llcs,
-            walk_mode: default_walk_mode(),
-            stripe_members: Vec::new(),
-            stripe_out: Vec::new(),
-        }
+        CoherenceController { map, l2s, llcs }
     }
 
     /// The address map.
     pub fn address_map(&self) -> AddressMap {
         self.map
-    }
-
-    /// The tag-walk mode in effect.
-    pub fn walk_mode(&self) -> WalkMode {
-        self.walk_mode
-    }
-
-    /// Overrides the tag-walk mode for this controller (tests and the perf
-    /// harness; observable behaviour is identical in both modes).
-    pub fn set_walk_mode(&mut self, mode: WalkMode) {
-        self.walk_mode = mode;
     }
 
     /// Tag-walk operation counters summed over every L2 and LLC partition.
@@ -348,14 +278,9 @@ impl CoherenceController {
         fx: &mut AccessEffects,
     ) -> bool {
         let c = cache.0 as usize;
-        let run = self.walk_mode == WalkMode::Run;
 
         // 1. Private-cache lookup (single scan: hit way or fill slot).
-        let lp = if run {
-            self.l2s[c].probe_in_set_fused(l2_set, line)
-        } else {
-            self.l2s[c].probe_in_set(l2_set, line)
-        };
+        let lp = self.l2s[c].probe_in_set(l2_set, line);
         if lp.hit {
             let state = self.l2s[c].state_at(lp.way);
             if !write || state.grants_write() {
@@ -373,7 +298,7 @@ impl CoherenceController {
             fx.llc_hit = true;
             self.llcs[p].count_hit();
             let home = self.l2s[c].home_way(lp.way) as usize;
-            let entry = if run && self.llcs[p].touch_verified(home, line) {
+            let entry = if self.llcs[p].touch_verified(home, line) {
                 self.llcs[p].entry_at_mut(home)
             } else {
                 self.llcs[p]
@@ -458,44 +383,30 @@ impl CoherenceController {
         let victim_home = self.l2s[c].home_way(fill_way) as usize;
         self.l2s[c].set_home_way(fill_way, llc_way as u32);
         if let Some(victim) = victim {
-            self.handle_l2_victim(
-                cache,
-                victim.line,
-                victim.state,
-                run.then_some(victim_home),
-                fx,
-            );
+            self.handle_l2_victim(cache, victim.line, victim.state, victim_home, fx);
         }
         false
     }
 
     /// Downgrades the recalled owner's copy of `line` from M/E to S,
-    /// returning its prior state. The per-line reference spends two L2
-    /// lookups (read, then write back Shared); the run-level walk replays
-    /// the identical two clock ticks and restamps with one fused traversal
-    /// plus a verified zero-scan touch.
+    /// returning its prior state. The modelled recall is two L2 lookups
+    /// (read, then write back Shared): one probe plus a verified zero-scan
+    /// touch, which tick the clock and restamp LRU exactly as two probes
+    /// would.
     fn recall_downgrade(&mut self, owner: CacheId, line: LineAddr) -> Option<MesiState> {
         let o = owner.0 as usize;
-        if self.walk_mode == WalkMode::Run {
-            let o_set = self.l2s[o].set_of(line);
-            let pr = self.l2s[o].probe_in_set_fused(o_set, line);
-            if pr.hit {
-                let st = self.l2s[o].state_at(pr.way);
-                self.l2s[o].touch_verified(pr.way, line);
-                *self.l2s[o].state_at_mut(pr.way) = MesiState::Shared;
-                Some(st)
-            } else {
-                // Unreachable while the directory is consistent; replay the
-                // reference's second (missing) lookup tick regardless.
-                self.l2s[o].probe_in_set_fused(o_set, line);
-                None
-            }
+        let o_set = self.l2s[o].set_of(line);
+        let pr = self.l2s[o].probe_in_set(o_set, line);
+        if pr.hit {
+            let st = self.l2s[o].state_at(pr.way);
+            self.l2s[o].touch_verified(pr.way, line);
+            *self.l2s[o].state_at_mut(pr.way) = MesiState::Shared;
+            Some(st)
         } else {
-            let st = self.l2s[o].lookup(line).copied();
-            if let Some(s) = self.l2s[o].lookup(line) {
-                *s = MesiState::Shared;
-            }
-            st
+            // Unreachable while the directory is consistent; replay the
+            // second (missing) lookup's tick regardless.
+            self.l2s[o].probe_in_set(o_set, line);
+            None
         }
     }
 
@@ -521,34 +432,29 @@ impl CoherenceController {
     /// Processes an L2 victim: dirty victims write back into the LLC, clean
     /// victims only update the directory.
     ///
-    /// `hint` is the victim's memoised LLC home way (run-level walk only);
-    /// inclusion pins an L2-resident line's LLC way, so after the O(1) tag
-    /// verification the directory update costs zero traversals.
+    /// `hint` is the victim's memoised LLC home way; inclusion pins an
+    /// L2-resident line's LLC way, so after the O(1) tag verification the
+    /// directory update costs zero traversals.
     fn handle_l2_victim(
         &mut self,
         cache: CacheId,
         line: LineAddr,
         state: MesiState,
-        hint: Option<usize>,
+        hint: usize,
         fx: &mut AccessEffects,
     ) {
         let p = self.map.partition_of(line).0 as usize;
-        let way = match hint {
-            Some(w) if self.llcs[p].touch_verified(w, line) => w,
-            _ => {
-                let set = self.llcs[p].set_of(line);
-                let pr = if self.walk_mode == WalkMode::Run {
-                    self.llcs[p].probe_in_set_fused(set, line)
-                } else {
-                    self.llcs[p].probe_in_set(set, line)
-                };
-                if !pr.hit {
-                    // Inclusion guarantees residency; tolerate release builds.
-                    debug_assert!(false, "inclusion violated: L2 victim {line} absent from LLC");
-                    return;
-                }
-                pr.way
+        let way = if self.llcs[p].touch_verified(hint, line) {
+            hint
+        } else {
+            let set = self.llcs[p].set_of(line);
+            let pr = self.llcs[p].probe_in_set(set, line);
+            if !pr.hit {
+                // Inclusion guarantees residency; tolerate release builds.
+                debug_assert!(false, "inclusion violated: L2 victim {line} absent from LLC");
+                return;
             }
+            pr.way
         };
         let entry = self.llcs[p].entry_at_mut(way);
         match state {
@@ -673,21 +579,9 @@ impl CoherenceController {
         fx
     }
 
-    /// A burst of `count` LLC-coherent-DMA line accesses, equivalent to
+    /// A burst of `count` LLC-coherent-DMA line accesses (bit-equivalent to
     /// per-line [`llc_coh_dma_access`](Self::llc_coh_dma_access) with
-    /// accumulated effects.
-    ///
-    /// Under the run-level walk, a burst that wraps the set index (`count`
-    /// exceeds the partition's set count, so sets receive multiple members)
-    /// is decomposed into per-set *stripes* and each stripe is resolved
-    /// against one snapshot of its set
-    /// ([`TagArray::walk_stripe`](crate::tagarray::TagArray::walk_stripe)):
-    /// members keep their
-    /// burst order within the set, victims and effects are identical, and
-    /// cross-set interleaving is immaterial because this path never touches
-    /// the directory (software flushed the private caches) and LLC sets
-    /// share no replacement state. Shorter bursts — and the per-line
-    /// reference mode — take the per-line loop.
+    /// accumulated effects).
     pub fn llc_coh_dma_access_range(
         &mut self,
         first: LineAddr,
@@ -700,10 +594,6 @@ impl CoherenceController {
         }
         let p = self.range_partition(first, count);
         let sets = self.llcs[p].sets();
-        if self.walk_mode == WalkMode::Run && count > sets {
-            self.llc_coh_dma_striped(p, first, count, write, &mut fx);
-            return fx;
-        }
         let mut set = self.llcs[p].set_of(first);
         for i in 0..count {
             self.llc_coh_dma_access_at(p, set, first.offset(i), write, &mut fx);
@@ -713,71 +603,6 @@ impl CoherenceController {
             }
         }
         fx
-    }
-
-    /// The set-major stripe walk behind
-    /// [`llc_coh_dma_access_range`](Self::llc_coh_dma_access_range): set
-    /// `s` receives the arithmetic subsequence of the burst with stride
-    /// `sets`, resolved in one snapshot load per set.
-    fn llc_coh_dma_striped(
-        &mut self,
-        p: usize,
-        first: LineAddr,
-        count: u64,
-        write: bool,
-        fx: &mut AccessEffects,
-    ) {
-        fx.reached_llc = true;
-        let CoherenceController {
-            l2s,
-            llcs,
-            stripe_members,
-            stripe_out,
-            ..
-        } = self;
-        let sets = llcs[p].sets();
-        let first_set = llcs[p].set_of(first);
-        let make = |_| if write { LlcEntry::dirty() } else { LlcEntry::clean() };
-        let mut hits = 0u64;
-        for s in 0..sets {
-            // Burst indices landing in set s: first_set + i ≡ s (mod sets).
-            let i0 = (s + sets - first_set) % sets;
-            stripe_members.clear();
-            let mut i = i0;
-            while i < count {
-                stripe_members.push(first.offset(i));
-                i += sets;
-            }
-            debug_assert!(!stripe_members.is_empty(), "count > sets fills every set");
-            llcs[p].walk_stripe(
-                s,
-                stripe_members,
-                stripe_out,
-                // A write marks hit entries dirty in member order, exactly
-                // where the per-line loop would (a later member of the same
-                // stripe may evict them).
-                |_, entry| {
-                    if write {
-                        entry.dirty = true;
-                    }
-                },
-                make,
-                |_, victim| {
-                    Self::back_invalidate_into(l2s, victim.line, victim.state, fx);
-                },
-            );
-            let stripe_hits = stripe_out.iter().filter(|pr| pr.hit).count() as u64;
-            let stripe_misses = stripe_out.len() as u64 - stripe_hits;
-            hits += stripe_hits;
-            if !write {
-                fx.dram_fetches += stripe_misses;
-            }
-            llcs[p].count_hits(stripe_hits);
-            llcs[p].count_misses(stripe_misses);
-        }
-        if hits > 0 {
-            fx.llc_hit = true;
-        }
     }
 
     fn llc_coh_dma_access_at(
@@ -815,17 +640,15 @@ impl CoherenceController {
         needs_data: bool,
         fx: &mut AccessEffects,
     ) -> (bool, usize) {
-        let probe = if self.walk_mode == WalkMode::Run {
-            self.llcs[p].probe_in_set_fused(llc_set, line)
-        } else {
-            self.llcs[p].probe_in_set(llc_set, line)
-        };
+        let probe = self.llcs[p].probe_in_set(llc_set, line);
         if probe.hit {
             return (true, probe.way);
         }
         if needs_data {
             fx.dram_fetches += 1;
         }
+        // `insert_at` may divert the fill to another way, so report the way
+        // it actually used.
         let (way, victim) = self.llcs[p].insert_at(probe, line, LlcEntry::clean());
         if let Some(victim) = victim {
             Self::back_invalidate_into(&mut self.l2s, victim.line, victim.state, fx);
@@ -871,15 +694,14 @@ impl CoherenceController {
     pub fn flush_l2(&mut self, cache: CacheId) -> FlushEffects {
         let mut fx = FlushEffects::new();
         let c = cache.0 as usize;
-        let run = self.walk_mode == WalkMode::Run;
-        let CoherenceController { map, l2s, llcs, .. } = self;
+        let CoherenceController { map, l2s, llcs } = self;
         l2s[c].drain(|home, e| {
             let p = map.partition_of(e.line).0 as usize;
             // A drained line is L2-resident by definition, so inclusion
-            // pins it at its memoised LLC home way: the run-level walk
-            // replays the per-line lookup's hit (identical tick + restamp)
-            // with an O(1) verified touch instead of a set scan.
-            let entry = if run && llcs[p].touch_verified(home as usize, e.line) {
+            // pins it at its memoised LLC home way: an O(1) verified touch
+            // replays the directory lookup's hit (identical tick + restamp)
+            // without a set scan.
+            let entry = if llcs[p].touch_verified(home as usize, e.line) {
                 llcs[p].entry_at_mut(home as usize)
             } else if let Some(entry) = llcs[p].lookup(e.line) {
                 entry

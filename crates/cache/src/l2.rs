@@ -70,20 +70,10 @@ impl L2Cache {
         self.tags.probe_in_set(set, line)
     }
 
-    /// Single-traversal probe (see [`TagArray::probe_in_set_fused`]).
-    pub fn probe_in_set_fused(&mut self, set: u64, line: LineAddr) -> Probe {
-        self.tags.probe_in_set_fused(set, line)
-    }
-
     /// Replays a hit at a learned way after an O(1) tag check (see
     /// [`TagArray::touch_verified`]).
     pub fn touch_verified(&mut self, way: usize, line: LineAddr) -> bool {
         self.tags.touch_verified(way, line)
-    }
-
-    /// The resident line at a global way, if any.
-    pub fn line_at(&self, way: usize) -> Option<LineAddr> {
-        self.tags.line_at(way)
     }
 
     /// The tag-walk operation counters.

@@ -35,10 +35,8 @@ pub mod llc;
 pub mod mesi;
 pub mod tagarray;
 
-pub use controller::{
-    default_walk_mode, set_default_walk_mode, AddressMap, CacheId, CoherenceController, WalkMode,
-};
+pub use controller::{AddressMap, CacheId, CoherenceController};
 pub use effects::{AccessEffects, FlushEffects};
 pub use geometry::{CacheGeometry, LineAddr};
 pub use mesi::MesiState;
-pub use tagarray::{StripeKind, TagStats};
+pub use tagarray::TagStats;

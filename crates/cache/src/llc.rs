@@ -9,7 +9,7 @@ use cohmeleon_sim::stats::Counter;
 
 use crate::controller::CacheId;
 use crate::geometry::{CacheGeometry, LineAddr};
-use crate::tagarray::{Entry, Probe, StripeKind, TagArray, TagStats};
+use crate::tagarray::{Entry, Probe, TagArray, TagStats};
 
 /// A set of private caches sharing a line (bitset over [`CacheId`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -173,45 +173,10 @@ impl LlcPartition {
         self.tags.probe_in_set(set, line)
     }
 
-    /// Single-traversal probe (see [`TagArray::probe_in_set_fused`]).
-    pub fn probe_in_set_fused(&mut self, set: u64, line: LineAddr) -> Probe {
-        self.tags.probe_in_set_fused(set, line)
-    }
-
-    /// Fused probe that also reports the resident way of a second same-set
-    /// line (see [`TagArray::probe_pair_in_set`]).
-    pub fn probe_pair_in_set(
-        &mut self,
-        set: u64,
-        line: LineAddr,
-        extra: LineAddr,
-    ) -> (Probe, Option<usize>) {
-        self.tags.probe_pair_in_set(set, line, extra)
-    }
-
     /// Replays a hit at a learned way after an O(1) tag check (see
     /// [`TagArray::touch_verified`]).
     pub fn touch_verified(&mut self, way: usize, line: LineAddr) -> bool {
         self.tags.touch_verified(way, line)
-    }
-
-    /// Resolves a same-set stripe of a burst in one traversal (see
-    /// [`TagArray::walk_stripe`]).
-    pub fn walk_stripe<H, M, E>(
-        &mut self,
-        set: u64,
-        lines: &[LineAddr],
-        out: &mut Vec<Probe>,
-        on_hit: H,
-        make: M,
-        on_evict: E,
-    ) -> StripeKind
-    where
-        H: FnMut(usize, &mut LlcEntry),
-        M: FnMut(usize) -> LlcEntry,
-        E: FnMut(usize, Entry<LlcEntry>),
-    {
-        self.tags.walk_stripe(set, lines, out, on_hit, make, on_evict)
     }
 
     /// The tag-walk operation counters.
@@ -278,16 +243,6 @@ impl LlcPartition {
     /// Records a miss in the monitors.
     pub fn count_miss(&mut self) {
         self.misses.incr();
-    }
-
-    /// Records `n` hits at once (stripe walks).
-    pub fn count_hits(&mut self, n: u64) {
-        self.hits.add(n);
-    }
-
-    /// Records `n` misses at once (stripe walks).
-    pub fn count_misses(&mut self, n: u64) {
-        self.misses.add(n);
     }
 
     /// Monitor: hits.

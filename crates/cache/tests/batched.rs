@@ -4,14 +4,14 @@
 //! random geometries, priming traffic, modes and burst shapes.
 
 use cohmeleon_cache::{
-    AccessEffects, AddressMap, CacheGeometry, CacheId, CoherenceController, LineAddr, WalkMode,
+    AccessEffects, AddressMap, CacheGeometry, CacheId, CoherenceController, LineAddr,
 };
 use cohmeleon_core::PartitionId;
 use proptest::prelude::*;
 
 /// A random but valid cache geometry: sets × small ways, deliberately
 /// including non-power-of-two set counts (and 3-way associativity) so the
-/// reciprocal set mapping and the stripe walk see awkward shapes.
+/// `%` set mapping and the set-index wraparound see awkward shapes.
 fn arb_geometry(max_sets: u64) -> impl Strategy<Value = CacheGeometry> {
     (2u64..=max_sets, 0usize..4).prop_map(|(sets, way_pick)| {
         let ways = [1u32, 2, 3, 4][way_pick];
@@ -209,7 +209,10 @@ proptest! {
         assert_state_eq(&a, &b, base, SPAN + 128)?;
     }
 
-    /// `llc_coh_dma_access_range` ≡ per-line `llc_coh_dma_access`.
+    /// `llc_coh_dma_access_range` ≡ per-line `llc_coh_dma_access`, for
+    /// bursts shorter than the LLC set count and for bursts that wrap the
+    /// set index for several laps plus a remainder. Follow-up mixed traffic
+    /// over the same lines pins the LRU and dirty state the burst left.
     #[test]
     fn llc_coh_dma_range_matches_per_line(
         l2_geom in arb_geometry(16),
@@ -219,19 +222,26 @@ proptest! {
         prime in arb_prime_ops(SPAN),
         p in 0u16..3,
         offset in 0u64..SPAN,
-        count in 1u64..128,
+        (laps, extra) in (0u64..4, 1u64..48),
         write in any::<bool>(),
+        follow in arb_mixed_ops(SPAN),
     ) {
         let (mut a, mut b, base) =
             primed_pair(l2_geom, llc_geom, n_l2s, partitions, &prime, p);
         let first = LineAddr(base.0 + offset);
+        let count = llc_geom.sets() * laps + extra;
         let batched = a.llc_coh_dma_access_range(first, count, write);
         let mut looped = AccessEffects::new();
         for i in 0..count {
             looped.accumulate(&b.llc_coh_dma_access(first.offset(i), write));
         }
         prop_assert_eq!(batched, looped);
-        assert_state_eq(&a, &b, base, SPAN + 128)?;
+        for (i, op) in follow.iter().enumerate() {
+            let fa = apply_mixed(&mut a, *op, n_l2s, base);
+            let fb = apply_mixed(&mut b, *op, n_l2s, base);
+            prop_assert_eq!(fa, fb, "follow op {}", i);
+        }
+        assert_state_eq(&a, &b, base, SPAN + 192)?;
     }
 
     /// `l2_access_range` ≡ per-line `l2_access`, including the hit count.
@@ -291,77 +301,6 @@ proptest! {
         }
         prop_assert_eq!(batched, looped);
         assert_state_eq(&a, &b, base, SPAN + 128)?;
-    }
-
-    /// A controller in `Run` walk mode stays observably identical to one
-    /// in `PerLine` mode across random mixed op sequences — per-op access
-    /// effects, hit counts, flush totals, and every probe-visible piece
-    /// of state, including the LRU order as exposed by later evictions.
-    #[test]
-    fn run_walk_matches_per_line_walk(
-        l2_geom in arb_geometry(16),
-        llc_geom in arb_geometry(48),
-        n_l2s in 1u16..4,
-        partitions in 1u16..3,
-        p in 0u16..3,
-        ops in arb_mixed_ops(SPAN),
-    ) {
-        let map = AddressMap::new(partitions);
-        let geoms = vec![l2_geom; n_l2s as usize];
-        let mut a = CoherenceController::new(map, &geoms, llc_geom);
-        let mut b = CoherenceController::new(map, &geoms, llc_geom);
-        a.set_walk_mode(WalkMode::Run);
-        b.set_walk_mode(WalkMode::PerLine);
-        let base = map.region_base(PartitionId(p % partitions));
-        for (i, op) in ops.iter().enumerate() {
-            let fa = apply_mixed(&mut a, *op, n_l2s, base);
-            let fb = apply_mixed(&mut b, *op, n_l2s, base);
-            prop_assert_eq!(fa, fb, "op {}", i);
-        }
-        assert_state_eq(&a, &b, base, SPAN + 192)?;
-    }
-
-    /// Focused wraparound stripes: bursts longer than the LLC set count
-    /// (every set gets a multi-member stripe, wrapping several laps)
-    /// match the per-line reference, with the LRU/dirty evolution pinned
-    /// by follow-up mixed traffic over the same lines.
-    #[test]
-    fn llc_stripe_wraparound_matches_per_line(
-        l2_geom in arb_geometry(8),
-        llc_sets in 2u64..12,
-        way_pick in 0usize..4,
-        n_l2s in 1u16..3,
-        prime in arb_prime_ops(SPAN),
-        offset in 0u64..SPAN,
-        laps in 1u64..4,
-        extra in 1u64..32,
-        write in any::<bool>(),
-        follow in arb_mixed_ops(SPAN),
-    ) {
-        let ways = [1u32, 2, 3, 4][way_pick];
-        let llc_geom = CacheGeometry::new(llc_sets * u64::from(ways) * 64, ways, 64);
-        let map = AddressMap::new(1);
-        let geoms = vec![l2_geom; n_l2s as usize];
-        let mut a = CoherenceController::new(map, &geoms, llc_geom);
-        let mut b = CoherenceController::new(map, &geoms, llc_geom);
-        a.set_walk_mode(WalkMode::Run);
-        b.set_walk_mode(WalkMode::PerLine);
-        let base = map.region_base(PartitionId(0));
-        for op in &prime {
-            apply_prime(&mut a, *op, n_l2s, base);
-            apply_prime(&mut b, *op, n_l2s, base);
-        }
-        let first = LineAddr(base.0 + offset);
-        let count = llc_sets * laps + extra;
-        let fa = a.llc_coh_dma_access_range(first, count, write);
-        let fb = b.llc_coh_dma_access_range(first, count, write);
-        prop_assert_eq!(fa, fb);
-        for (i, op) in follow.iter().enumerate() {
-            let fa = apply_mixed(&mut a, *op, n_l2s, base);
-            let fb = apply_mixed(&mut b, *op, n_l2s, base);
-            prop_assert_eq!(fa, fb, "follow op {}", i);
-        }
-        assert_state_eq(&a, &b, base, SPAN + 192)?;
     }
 
     /// Flushes drain exactly the resident lines: effects match the dirty /

@@ -35,10 +35,17 @@
 //! is a plain passthrough around the socket with no lock, no RNG and no
 //! logging — the production path stays the production path.
 
+//!
+//! The crate also owns the one newline framing both protocols read with,
+//! [`LineReader`]: it survives read-timeout polls mid-line and bounds a
+//! line at [`MAX_LINE_BYTES`].
+
 #![warn(missing_docs)]
 
+mod framing;
 mod plan;
 mod transport;
 
+pub use framing::{LineReader, MAX_LINE_BYTES};
 pub use plan::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, Role};
 pub use transport::FaultyTransport;

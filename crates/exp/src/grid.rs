@@ -905,7 +905,6 @@ mod tests {
                 })
                 .with_options(EngineOptions {
                     attribution: Attribution::GroundTruth,
-                    ..EngineOptions::default()
                 }),
             )
             .seed(4)

@@ -49,6 +49,7 @@ pub mod queen;
 pub mod worker;
 
 pub use lease::{Grant, Lease, LeaseStat, LeaseTable};
-pub use protocol::{LineReader, ToQueen, ToWorker, PROTOCOL_VERSION};
+pub use cohmeleon_chaos::LineReader;
+pub use protocol::{ToQueen, ToWorker, PROTOCOL_VERSION};
 pub use queen::{run_queen, QueenOptions, QueenReport};
 pub use worker::{run_worker, WorkerOptions, WorkerReport};

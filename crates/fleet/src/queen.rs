@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{FaultPlan, FaultyTransport, LineReader, Role};
 use cohmeleon_exp::checkpoint::sort_canonical;
 use cohmeleon_exp::{
     finalize_canonical, validate_record, CellCoord, CellId, CellRecord, Checkpoint,
@@ -26,7 +26,7 @@ use cohmeleon_exp::{
 };
 
 use crate::lease::{Grant, LeaseTable};
-use crate::protocol::{LineReader, ToQueen, ToWorker};
+use crate::protocol::{ToQueen, ToWorker};
 
 /// Tuning knobs for [`run_queen`].
 #[derive(Debug, Clone)]

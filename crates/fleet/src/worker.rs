@@ -16,10 +16,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{FaultPlan, FaultyTransport, LineReader, Role};
 use cohmeleon_exp::{CellRecord, SweepGrid};
 
-use crate::protocol::{sanitize_name, LineReader, ToQueen, ToWorker};
+use crate::protocol::{sanitize_name, ToQueen, ToWorker};
 
 /// Tuning knobs for [`run_worker`].
 #[derive(Debug, Clone)]

@@ -13,7 +13,7 @@ use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{FaultPlan, FaultyTransport, LineReader, Role};
 use cohmeleon_core::frozen::mode_mask;
 use cohmeleon_core::modes::{CoherenceMode, ModeSet};
 use cohmeleon_core::snapshot::SystemSnapshot;
@@ -22,7 +22,7 @@ use cohmeleon_core::state::State;
 use cohmeleon_core::policy::PolicyComplexity;
 use cohmeleon_core::{AccelInstanceId, AccelKindId, AgentScope, Decision, Policy};
 
-use crate::protocol::{sanitize_name, LineReader, Query, ToClient, ToServer};
+use crate::protocol::{sanitize_name, Query, ToClient, ToServer};
 
 /// How long [`ServeClient::connect`] keeps retrying a refused connection
 /// (the server may still be binding when clients launch).

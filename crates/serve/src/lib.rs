@@ -9,8 +9,8 @@
 //!
 //! * [`protocol`] — the `serve/1` line protocol: `HELLO`, batched
 //!   `DECIDE`, `SWAP`, `STAT`, `SHUTDOWN`.
-//! * [`swap`] — [`SwapCell`]: a hand-rolled arc-swap so the read path
-//!   never takes a lock.
+//! * [`swap`] — [`SwapCell`]: an `Arc` behind a read-write lock, held
+//!   only for the clone, so a swap never tears a batch.
 //! * [`server`] — [`run_server`]: one handler thread per connection; each
 //!   `DECIDE` batch is answered from exactly one table version.
 //! * [`client`] — [`ServeClient`] plus [`RemotePolicy`], a [`Policy`]

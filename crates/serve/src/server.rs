@@ -1,15 +1,15 @@
-//! The decision server: concurrent clients, a lock-free read path, and
-//! atomic snapshot hot-swap.
+//! The decision server: concurrent clients, a read path that holds no
+//! lock while it decides, and atomic snapshot hot-swap.
 //!
 //! Mirrors the fleet queen's shape — a non-blocking accept loop inside
 //! `std::thread::scope`, one handler thread per connection polling with a
 //! short read timeout — but the shared state is deliberately different:
 //! where the queen funnels every message through one mutex, the server's
-//! hot path touches **no lock at all**. The live table is an
-//! `Arc<TableVersion>` behind a [`SwapCell`]; a `DECIDE` handler loads it
-//! once per batch (so the whole batch is answered from exactly one
-//! version, which the `MODES` reply names) and answers every query with
-//! two indexed loads into the frozen snapshot. Counters are relaxed
+//! hot path takes one read lock per batch, for an `Arc` clone. The live
+//! table is an `Arc<TableVersion>` behind a [`SwapCell`]; a `DECIDE`
+//! handler loads it once per batch (so the whole batch is answered from
+//! exactly one version, which the `MODES` reply names) and answers every
+//! query with two indexed loads into the frozen snapshot. Counters are relaxed
 //! atomics; only `SWAP` — a rare administrative verb — takes a mutex, and
 //! only against other swaps.
 
@@ -19,11 +19,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{FaultPlan, FaultyTransport, LineReader, Role};
 use cohmeleon_core::frozen::{mask_modes, FrozenSnapshot};
 use cohmeleon_core::{AccelInstanceId, AccelKindId};
 
-use crate::protocol::{LineReader, Query, ToClient, ToServer};
+use crate::protocol::{Query, ToClient, ToServer};
 use crate::swap::SwapCell;
 
 /// One installed snapshot with its monotonic version number.

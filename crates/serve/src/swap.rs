@@ -1,98 +1,48 @@
-//! Lock-free hot swapping: a hand-rolled arc-swap cell.
+//! Hot swapping: an `Arc<T>` behind a read-write lock.
 //!
-//! The serving read path must never take a lock — a `Mutex<Arc<T>>` would
-//! serialise every batch behind every other batch *and* behind swaps. The
-//! standard answer is the `arc-swap` crate; this environment is offline,
-//! so [`SwapCell`] reimplements the slice of it the server needs:
+//! A `DECIDE` handler [`load`](SwapCell::load)s the live value once per
+//! batch and decides against its own `Arc` clone, so a `SWAP` can never
+//! change the table under a batch already in flight. The lock is held only
+//! for the refcount increment (read) or the pointer replacement (write),
+//! never across a decision or an I/O call.
 //!
-//! * [`load`](SwapCell::load) — wait-free on the reader side: one atomic
-//!   pointer load (`Acquire`) plus one `Arc` refcount increment.
-//! * [`store`](SwapCell::store) — publishes a new value with one atomic
-//!   pointer swap (`AcqRel`); readers that raced ahead keep using the old
-//!   value through their own `Arc` clone.
-//!
-//! The subtlety is reclamation: a reader may hold the raw pointer between
-//! its `load` and its refcount increment while a writer swaps the pointer
-//! out. Full arc-swap solves this with a deferred/hazard scheme; this cell
-//! sidesteps it by **retiring** replaced boxes instead of freeing them —
-//! a retired `Box<Arc<T>>` keeps one strong reference to the old payload,
-//! so replaced values are freed only when the cell itself drops. Memory
-//! overhead is therefore bounded by the number of swaps over the cell's
-//! lifetime, which for a decision server is the number of checkpoint
-//! promotions — a handful per process, never per request.
+//! A replaced value is dropped as soon as the last reader's clone goes
+//! away: the cell keeps nothing but the live value, so its memory does not
+//! grow with the number of swaps.
 
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
-/// An atomically swappable `Arc<T>` with lock-free reads.
-///
-/// See the [module docs](self) for the reclamation contract.
+/// An atomically swappable `Arc<T>`.
 pub struct SwapCell<T> {
-    ptr: AtomicPtr<Arc<T>>,
-    /// Replaced boxes, freed at drop — never while a reader could still
-    /// hold the raw pointer.
-    retired: Mutex<Vec<*mut Arc<T>>>,
+    live: RwLock<Arc<T>>,
 }
-
-// SAFETY: the cell hands out `Arc<T>` clones and never gives out `&mut T`;
-// all shared access to the payload goes through `Arc`, which requires
-// `T: Send + Sync` for cross-thread sharing. The raw pointers are only
-// dereferenced while the boxes they point to are alive (retired boxes are
-// freed solely in `Drop`, which takes `&mut self` and therefore excludes
-// concurrent readers).
-unsafe impl<T: Send + Sync> Send for SwapCell<T> {}
-unsafe impl<T: Send + Sync> Sync for SwapCell<T> {}
 
 impl<T> SwapCell<T> {
     /// A cell currently holding `value`.
     pub fn new(value: Arc<T>) -> SwapCell<T> {
         SwapCell {
-            ptr: AtomicPtr::new(Box::into_raw(Box::new(value))),
-            retired: Mutex::new(Vec::new()),
+            live: RwLock::new(value),
         }
     }
 
-    /// The current value. Wait-free: one `Acquire` pointer load and one
-    /// `Arc` clone; never blocks on writers.
+    /// The current value: one `Arc` clone under the read lock.
     pub fn load(&self) -> Arc<T> {
-        let ptr = self.ptr.load(Ordering::Acquire);
-        // SAFETY: `ptr` came from `Box::into_raw` in `new` or `store` and
-        // is freed only in `Drop` (`&mut self`), so it is valid here.
-        unsafe { (*ptr).clone() }
+        Arc::clone(&self.live.read().expect("swap cell poisoned"))
     }
 
     /// Atomically replaces the value. Readers holding clones of the old
-    /// value keep them; new loads see `value`.
+    /// value keep them; new loads see `value`. The old value is dropped
+    /// outside the lock, once no reader holds it.
     pub fn store(&self, value: Arc<T>) {
-        let new = Box::into_raw(Box::new(value));
-        let old = self.ptr.swap(new, Ordering::AcqRel);
-        self.retired.lock().expect("swap retire list").push(old);
-    }
-
-    /// Number of replaced values retired so far (diagnostics; bounds the
-    /// cell's memory overhead).
-    pub fn retired_count(&self) -> usize {
-        self.retired.lock().expect("swap retire list").len()
-    }
-}
-
-impl<T> Drop for SwapCell<T> {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` excludes all readers; every pointer here was
-        // leaked by `new`/`store` and is freed exactly once.
-        unsafe {
-            drop(Box::from_raw(self.ptr.load(Ordering::Acquire)));
-            for ptr in self.retired.get_mut().expect("swap retire list").drain(..) {
-                drop(Box::from_raw(ptr));
-            }
-        }
+        let old = std::mem::replace(&mut *self.live.write().expect("swap cell poisoned"), value);
+        drop(old);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn load_sees_the_latest_store() {
@@ -100,7 +50,6 @@ mod tests {
         assert_eq!(*cell.load(), 1);
         cell.store(Arc::new(2));
         assert_eq!(*cell.load(), 2);
-        assert_eq!(cell.retired_count(), 1);
     }
 
     #[test]
@@ -135,22 +84,23 @@ mod tests {
             }
             stop.store(true, Ordering::Release);
         });
-        assert_eq!(cell.retired_count(), 1000);
         let last = cell.load();
         assert_eq!(*last, (1000, 1000));
     }
 
     #[test]
-    fn retired_payloads_free_when_the_cell_drops() {
-        // The retired box pins the old payload (that is the reclamation
-        // contract — a racing reader may still materialise a clone from
-        // it); dropping the cell releases everything.
+    fn replaced_payload_frees_once_no_reader_holds_it() {
         let first = Arc::new(vec![0u8; 1024]);
         let weak = Arc::downgrade(&first);
         let cell = SwapCell::new(first);
+        let reader = cell.load();
         cell.store(Arc::new(vec![1u8; 1024]));
-        assert!(weak.upgrade().is_some(), "retired payload freed too early");
-        drop(cell);
-        assert!(weak.upgrade().is_none(), "payload leaked past cell drop");
+        assert!(weak.upgrade().is_some(), "payload freed under a live reader");
+        drop(reader);
+        assert!(
+            weak.upgrade().is_none(),
+            "replaced payload outlived its last reader"
+        );
+        assert_eq!(cell.load()[0], 1, "the cell still serves the new value");
     }
 }

@@ -62,7 +62,7 @@
 //!   checkpoint (see the `sweep queen`/`sweep worker` subcommands).
 //! * [`serve`] — the online decision-serving runtime: a TCP server
 //!   dispatching batched `decide()` queries against an immutable frozen
-//!   snapshot, hot-swappable mid-traffic with lock-free reads, plus the
+//!   snapshot, hot-swappable mid-traffic without tearing a batch, plus the
 //!   client, the in-engine `RemotePolicy` adapter (bit-identical to
 //!   local dispatch) and the verifying load generator (see the `sweep
 //!   freeze`/`sweep serve`/`sweep clients` subcommands).
