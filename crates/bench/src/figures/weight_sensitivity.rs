@@ -6,7 +6,7 @@
 //! grid instead — each [`WeightPreset`] is a serializable [`LearnerSpec`]
 //! cell, crossed with the agent scope ([`AgentScope::Global`] vs
 //! [`AgentScope::PerKind`]), so weight exploration gets resumable
-//! checkpoints, shard workers and JSONL artifacts for free (exactly like
+//! checkpoints, fleet workers and JSONL artifacts for free (exactly like
 //! `learner_ablation`). Every cell is normalized against the paper cell
 //! (global scope, paper weights — the grid's policy 0).
 
@@ -84,7 +84,7 @@ pub fn run(scale: Scale) -> Data {
 }
 
 /// Rebuilds the table from persisted cell records — the `--resume` /
-/// `--shards` / post-hoc regeneration path, numerically identical to the
+/// post-hoc regeneration path, numerically identical to the
 /// live normalization (same integer totals divided in the same order).
 pub fn data_from_records(records: Vec<CellRecord>) -> Data {
     let specs = specs();

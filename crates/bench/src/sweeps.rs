@@ -1,14 +1,14 @@
 //! Named sweep grids for the `sweep` command-line harness.
 //!
-//! Sharded runs re-execute the current binary, so a worker process must
-//! be able to rebuild *exactly* the grid its parent is running from
-//! nothing but a name on its command line (grids hold policy-builder
-//! closures — no wire format can carry them). This module is that name
-//! table: every entry is a deterministic function of `(name, scale)`,
-//! which is what makes `sweep run --grid suite --shard 1/3` in a child
-//! process meaningful, and what lets a resumed run trust that the
-//! checkpoint on disk belongs to the grid being resumed (the checkpoint
-//! layer verifies labels and seeds against the rebuilt grid).
+//! Fleet workers are separate processes, so a worker must be able to
+//! rebuild *exactly* the grid its queen is serving from nothing but a
+//! name on the wire (grids hold policy-builder closures — no wire format
+//! can carry them). This module is that name table: every entry is a
+//! deterministic function of `(name, scale)`, which is what makes a
+//! `sweep worker` joining `sweep queen --grid suite` meaningful, and
+//! what lets a resumed run trust that the checkpoint on disk belongs to
+//! the grid being resumed (the checkpoint layer verifies labels and
+//! seeds against the rebuilt grid).
 //!
 //! Each experiment comes with its conventional checkpoint path
 //! (`<name>.jsonl`) pre-set via
@@ -54,8 +54,8 @@ pub const GRID_NAMES: &[(&str, &str)] = &[
 ];
 
 /// Builds the named experiment at `scale`. The returned builder still
-/// accepts [`Experiment::resume_from`] / [`Experiment::shards`]
-/// overrides before [`Experiment::build`].
+/// accepts an [`Experiment::resume_from`] override before
+/// [`Experiment::build`].
 ///
 /// # Errors
 ///
@@ -80,7 +80,7 @@ pub fn named_experiment(name: &str, scale: Scale) -> Result<Experiment, String> 
 }
 
 /// The tracked three-policy suite on SoC1 (the `perf_baseline` regime):
-/// small and fast, which makes it the CI resume/shard smoke grid.
+/// small and fast, which makes it the CI resume and fleet smoke grid.
 fn suite(scale: Scale) -> Experiment {
     let config = soc1();
     let params = scale.pick(
@@ -100,9 +100,9 @@ fn suite(scale: Scale) -> Experiment {
 
 /// The scoped-orchestration smoke grid: every [`AgentScope`] × two weight
 /// presets over the paper's component composition — small enough for the
-/// CI resume/shard smoke, wide enough that every routing path (global,
-/// per-kind, per-instance) and a reweighted learner appear as checkpoint
-/// cells.
+/// CI resume and fleet smokes, wide enough that every routing path
+/// (global, per-kind, per-instance) and a reweighted learner appear as
+/// checkpoint cells.
 fn scoped(scale: Scale) -> Experiment {
     let config = soc1();
     let params = scale.pick(
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn rebuilding_a_named_grid_is_deterministic() {
-        // The shard-worker contract: a child process rebuilding the grid
+        // The fleet-worker contract: a worker process rebuilding the grid
         // by name must get bit-identical cells.
         let a = named_experiment("suite", Scale::Fast).unwrap().build().unwrap();
         let b = named_experiment("suite", Scale::Fast).unwrap().build().unwrap();

@@ -8,11 +8,11 @@
 //! never change results**, only wall time.
 //!
 //! Executors schedule closures *within* one process. Scaling past one
-//! process is the [`shard`](crate::shard) module's job: a
-//! [`ShardExecutor`](crate::ShardExecutor) runs whole grid slices in
-//! worker subprocesses and cannot implement this trait (closures don't
-//! cross process boundaries) — each worker instead runs its slice
-//! through one of these executors internally.
+//! process is the fleet's job (`cohmeleon-fleet`): a queen leases cell
+//! ranges to worker processes, which cannot implement this trait
+//! (closures don't cross process boundaries) — each worker instead
+//! rebuilds the grid by name and runs each leased cell through
+//! [`SweepGrid::run_cell`](crate::SweepGrid::run_cell).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

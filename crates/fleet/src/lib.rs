@@ -13,8 +13,8 @@
 //!
 //! * **Cells are pure functions of their coordinates**, so a worker needs
 //!   only `(grid name, fast flag, dense index)` to produce the exact
-//!   bytes a local run would — the rebuild contract the `shard`
-//!   subcommand already relies on.
+//!   bytes a local run would — the same rebuild contract a resumed
+//!   local sweep relies on.
 //! * **Duplicates are free**, so fault tolerance is *speculative
 //!   re-lease*: a lease silent past its TTL is carved into a twin lease
 //!   for another worker, first completion wins, and the queen's record

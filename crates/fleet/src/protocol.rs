@@ -54,7 +54,7 @@ pub enum ToQueen {
         /// The worker's self-reported label (host name, say).
         name: String,
     },
-    /// `LEASE` — ask for a shard of work.
+    /// `LEASE` — ask for a range of cells to work.
     Lease,
     /// `RECORD <id> <json>` — one completed cell under lease `id`.
     Record {

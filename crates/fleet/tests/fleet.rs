@@ -1,6 +1,7 @@
 //! Fleet end-to-end over loopback: queen + worker threads on
 //! `127.0.0.1:0` must land the byte-identical canonical JSONL a clean
-//! Serial run produces — including with a worker killed mid-lease, with
+//! Serial run produces — including with a worker killed mid-lease (on a
+//! plain grid and on a grid of scoped, reweighted learner cells), with
 //! the queen capped ("killed") and resumed, and with a stalled worker
 //! whose lease must expire and be speculatively re-dispatched.
 
@@ -9,7 +10,10 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use cohmeleon_exp::{canonical_jsonl, Experiment, PolicyKind, Serial, SweepGrid};
+use cohmeleon_exp::{
+    canonical_jsonl, AgentScope, Experiment, LearnerSpec, PolicyKind, Serial, SweepGrid,
+    WeightPreset,
+};
 use cohmeleon_fleet::{
     run_queen, run_worker, LineReader, QueenOptions, ToQueen, ToWorker, WorkerOptions,
 };
@@ -26,6 +30,27 @@ fn grid() -> SweepGrid {
     Experiment::evaluate(config, app)
         .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
         .seeds([1, 2, 3])
+        .build()
+        .unwrap()
+}
+
+/// Every agent scope × two reward-weight presets, trained: scoped
+/// learner cells must split across workers as cleanly as fixed ones.
+fn scoped_grid() -> SweepGrid {
+    let config = soc1();
+    let params = GeneratorParams {
+        phases: 1,
+        ..GeneratorParams::quick()
+    };
+    let train = generate_app(&config, &params, 1);
+    let test = generate_app(&config, &params, 2);
+    Experiment::train_test(config, train, test)
+        .learners(LearnerSpec::scope_weight_grid(
+            &AgentScope::ALL,
+            &[WeightPreset::Paper, WeightPreset::Balanced],
+        ))
+        .seed(5)
+        .train_iterations(1)
         .build()
         .unwrap()
 }
@@ -63,52 +88,52 @@ fn worker_options(name: &str) -> WorkerOptions {
 
 #[test]
 fn three_workers_one_killed_mid_lease_still_byte_identical() {
-    let grid = grid();
-    let clean = canonical_jsonl(&grid.collect_records(&Serial));
-    let path = tmp_path("killed-worker");
+    for (name, grid) in [("plain", grid()), ("scoped", scoped_grid())] {
+        let clean = canonical_jsonl(&grid.collect_records(&Serial));
+        let path = tmp_path(&format!("killed-worker-{name}"));
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    // Short TTL so the killed worker's lease expires within the test.
-    let options = queen_options(300);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Short TTL so the killed worker's lease expires within the test.
+        let options = queen_options(300);
 
-    let report = std::thread::scope(|scope| {
-        let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
+        let report = std::thread::scope(|scope| {
+            let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
 
-        // The victim goes first so it deterministically holds a lease,
-        // then vanishes after one RECORD — mid-lease, no DONE. Its torn
-        // connection returns the unfinished cell to the pool.
-        let victim_options = WorkerOptions {
-            fail_after: Some(1),
-            ..worker_options("victim")
-        };
-        let victim = {
-            let addr = addr.clone();
-            let grid = &grid;
-            scope
-                .spawn(move || run_worker(&addr, resolver(grid), &victim_options).unwrap())
-        };
-        assert!(victim.join().unwrap().aborted);
+            // The victim goes first so it deterministically holds a
+            // lease, then vanishes after one RECORD — mid-lease, no DONE.
+            // Its torn connection returns the unfinished cell to the pool.
+            let victim_options = WorkerOptions {
+                fail_after: Some(1),
+                ..worker_options("victim")
+            };
+            let victim = {
+                let addr = addr.clone();
+                let grid = &grid;
+                scope.spawn(move || run_worker(&addr, resolver(grid), &victim_options).unwrap())
+            };
+            assert!(victim.join().unwrap().aborted, "{name}");
 
-        let mut workers = Vec::new();
-        for name in ["steady-1", "steady-2"] {
-            let addr = addr.clone();
-            let grid = &grid;
-            workers.push(scope.spawn(move || {
-                run_worker(&addr, resolver(grid), &worker_options(name)).unwrap()
-            }));
-        }
-        for worker in workers {
-            worker.join().unwrap();
-        }
-        queen.join().unwrap().unwrap()
-    });
+            let mut workers = Vec::new();
+            for worker in ["steady-1", "steady-2"] {
+                let addr = addr.clone();
+                let grid = &grid;
+                workers.push(scope.spawn(move || {
+                    run_worker(&addr, resolver(grid), &worker_options(worker)).unwrap()
+                }));
+            }
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            queen.join().unwrap().unwrap()
+        });
 
-    assert!(report.complete);
-    assert_eq!(report.ran + report.reused, grid.num_cells());
-    assert!(report.workers >= 3);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
-    std::fs::remove_file(&path).unwrap();
+        assert!(report.complete, "{name}");
+        assert_eq!(report.ran + report.reused, grid.num_cells(), "{name}");
+        assert!(report.workers >= 3, "{name}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), clean, "{name}");
+        std::fs::remove_file(&path).unwrap();
+    }
 }
 
 #[test]

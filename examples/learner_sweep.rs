@@ -44,7 +44,7 @@ fn main() {
     );
     // The orchestration axes ride the same grid: the paper composition
     // with one agent per accelerator kind, and with a memory-leaning
-    // reward — each its own resumable, shardable cell.
+    // reward — each its own resumable cell, leasable to a fleet worker.
     specs.push(LearnerSpec::paper().with_scope(AgentScope::PerKind));
     specs.push(LearnerSpec::paper().with_weights(WeightPreset::MemHeavy));
 
