@@ -36,16 +36,20 @@
 //! logging — the production path stays the production path.
 
 //!
-//! The crate also owns the one newline framing both protocols read with,
-//! [`LineReader`]: it survives read-timeout polls mid-line and bounds a
-//! line at [`MAX_LINE_BYTES`].
+//! The crate also owns the two edge pieces both protocols share: the
+//! newline framing they read with, [`LineReader`], which survives
+//! read-timeout polls mid-line and bounds a line at [`MAX_LINE_BYTES`];
+//! and the [`Acceptor`], a blocking accept loop that the last connection
+//! handler of a finished run wakes with one loopback connect.
 
 #![warn(missing_docs)]
 
+mod accept;
 mod framing;
 mod plan;
 mod transport;
 
+pub use accept::Acceptor;
 pub use framing::{LineReader, MAX_LINE_BYTES};
 pub use plan::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, Role};
 pub use transport::FaultyTransport;

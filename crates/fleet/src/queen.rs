@@ -13,12 +13,12 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, LineReader, Role};
+use cohmeleon_chaos::{Acceptor, FaultPlan, FaultyTransport, LineReader, Role};
 use cohmeleon_exp::checkpoint::sort_canonical;
 use cohmeleon_exp::{
     finalize_canonical, validate_record, CellCoord, CellId, CellRecord, Checkpoint,
@@ -170,6 +170,25 @@ impl Shared {
     }
 }
 
+/// Takes the value out of a lock result on the queen state. A handler
+/// that panics holding the lock poisons it; instead of every other handler
+/// panicking in turn, the guard is recovered and `error` set, which ends
+/// the run with `InvalidData`. `state` finds the queen state inside `T`.
+fn unpoison<T>(result: LockResult<T>, state: impl FnOnce(&mut T) -> &mut Shared) -> T {
+    result.unwrap_or_else(|poisoned| {
+        let mut inner = poisoned.into_inner();
+        state(&mut inner)
+            .error
+            .get_or_insert_with(|| "queen state poisoned by a panicking handler".into());
+        inner
+    })
+}
+
+/// Locks the queen state; see [`unpoison`].
+fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
+    unpoison(shared.lock(), |s| s)
+}
+
 /// Runs the queen to completion (or to `max_cells`, or to error) and
 /// returns what happened.
 ///
@@ -184,7 +203,7 @@ impl Shared {
 ///
 /// Checkpoint I/O or validation errors; `InvalidData` if a worker
 /// streamed a record conflicting with the grid or with a previously
-/// completed cell.
+/// completed cell, or if a connection handler panicked.
 pub fn run_queen(
     grid: &SweepGrid,
     listener: TcpListener,
@@ -195,20 +214,6 @@ pub fn run_queen(
     let checkpoint = Checkpoint::load(path, grid)?;
     let pending = checkpoint.pending(grid);
     let reused = checkpoint.len();
-    if pending.is_empty() {
-        let mut records = checkpoint.records().to_vec();
-        sort_canonical(&mut records);
-        finalize_canonical(path, &records)?;
-        return Ok(QueenReport {
-            records,
-            reused,
-            ran: 0,
-            duplicates: 0,
-            speculative: 0,
-            workers: 0,
-            complete: true,
-        });
-    }
 
     let chunk = options
         .chunk
@@ -220,74 +225,50 @@ pub fn run_queen(
         writer,
         ran: 0,
         capped: false,
-        complete: false,
+        // A checkpoint that already covers the grid needs no workers.
+        complete: pending.is_empty(),
         error: None,
         workers: HashSet::new(),
         delivered: HashMap::new(),
     });
 
-    listener.set_nonblocking(true)?;
-    let active = AtomicUsize::new(0);
-    let started = Instant::now();
-    let mut last_status = started;
+    let acceptor = Acceptor::new(listener)?;
+    let changed = Condvar::new();
     std::thread::scope(|scope| {
+        if lock(&shared).finished() {
+            return;
+        }
+        if let Some(every) = options.status_every {
+            let (shared, changed) = (&shared, &changed);
+            scope.spawn(move || print_status(grid, shared, changed, every));
+        }
         loop {
-            if shared.lock().expect("queen state").finished()
-                && active.load(Ordering::Acquire) == 0
-            {
-                break;
-            }
-            if let Some(every) = options.status_every {
-                if last_status.elapsed() >= every {
-                    last_status = Instant::now();
-                    let s = shared.lock().expect("queen state");
-                    if !s.finished() {
-                        let now = Instant::now();
-                        let mut delivered: Vec<(String, usize)> = s
-                            .delivered
-                            .iter()
-                            .map(|(name, &cells)| (name.clone(), cells))
-                            .collect();
-                        delivered.sort();
-                        eprintln!(
-                            "{}",
-                            status_line(
-                                s.ledger.records.len(),
-                                grid.num_cells(),
-                                started.elapsed(),
-                                &delivered,
-                                &s.table.lease_stats(now),
-                                s.table.speculative(),
-                            )
-                        );
-                    }
-                }
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    active.fetch_add(1, Ordering::AcqRel);
-                    let shared = &shared;
-                    let active = &active;
+            match acceptor.accept() {
+                Ok(Some(stream)) => {
+                    let (shared, acceptor) = (&shared, &acceptor);
                     scope.spawn(move || {
-                        serve_worker(stream, grid, shared, options);
-                        active.fetch_sub(1, Ordering::AcqRel);
+                        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                            serve_worker(stream, grid, shared, options)
+                        }));
+                        if served.is_err() {
+                            lock(shared)
+                                .error
+                                .get_or_insert_with(|| "a connection handler panicked".into());
+                        }
+                        acceptor.leave(|| lock(shared).finished());
                     });
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                Ok(None) => break,
                 Err(e) => {
-                    shared.lock().expect("queen state").error =
-                        Some(format!("accept failed: {e}"));
+                    lock(&shared).error = Some(format!("accept failed: {e}"));
+                    break;
                 }
             }
         }
+        changed.notify_all();
     });
 
-    let shared = shared.into_inner().expect("queen state");
+    let shared = unpoison(shared.into_inner(), |s| s);
     if let Some(message) = shared.error {
         return Err(io::Error::new(io::ErrorKind::InvalidData, message));
     }
@@ -347,7 +328,7 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shared.lock().expect("queen state").finished() {
+                if lock(shared).finished() {
                     let since = *finish_seen.get_or_insert_with(Instant::now);
                     if since.elapsed() >= grace {
                         break;
@@ -371,7 +352,7 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 ttl_ms: options.ttl.as_millis() as u64,
             };
             worker_name = name.clone();
-            shared.lock().expect("queen state").workers.insert(name);
+            lock(shared).workers.insert(name);
             if write_line(&mut writer, &hello).is_err() {
                 break;
             }
@@ -381,7 +362,7 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
             ToQueen::Hello { .. } => break,
             ToQueen::Lease => {
                 let reply = {
-                    let mut s = shared.lock().expect("queen state");
+                    let mut s = lock(shared);
                     if s.error.is_some() {
                         break;
                     }
@@ -406,7 +387,7 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 let Ok(record) = CellRecord::from_json(&json) else {
                     break;
                 };
-                let mut s = shared.lock().expect("queen state");
+                let mut s = lock(shared);
                 if s.error.is_some() {
                     break;
                 }
@@ -455,21 +436,17 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 }
             }
             ToQueen::Done { lease } => {
-                shared.lock().expect("queen state").table.release(lease);
+                lock(shared).table.release(lease);
             }
             ToQueen::Heartbeat { lease } => {
-                shared
-                    .lock()
-                    .expect("queen state")
-                    .table
-                    .heartbeat(lease, Instant::now());
+                lock(shared).table.heartbeat(lease, Instant::now());
             }
         }
     }
 
     // Whatever ended the connection: this worker's unfinished claims go
     // back to the pool (unless a speculative twin still covers them).
-    let mut s = shared.lock().expect("queen state");
+    let mut s = lock(shared);
     for id in granted {
         s.table.release(id);
     }
@@ -479,22 +456,53 @@ fn write_line(writer: &mut FaultyTransport, message: &ToWorker) -> io::Result<()
     writer.write_all(format!("{}\n", message.to_line()).as_bytes())
 }
 
+/// Prints a [`status_line`] to stderr every `every` until the run
+/// finishes. It sleeps on `changed`, which the accept loop signals as it
+/// ends, so a finished run stops it at once rather than a period later.
+fn print_status(grid: &SweepGrid, shared: &Mutex<Shared>, changed: &Condvar, every: Duration) {
+    let started = Instant::now();
+    let mut due = started + every;
+    let mut s = lock(shared);
+    while !s.finished() {
+        let now = Instant::now();
+        if now < due {
+            (s, _) = unpoison(changed.wait_timeout(s, due - now), |(s, _)| s);
+            continue;
+        }
+        due = now + every;
+        eprintln!(
+            "{}",
+            status_line(
+                s.ledger.records.len(),
+                grid.num_cells(),
+                started.elapsed(),
+                &s.delivered,
+                &s.table.lease_stats(now),
+                s.table.speculative(),
+            )
+        );
+    }
+}
+
 /// Formats one periodic queen status line: overall progress, per-worker
-/// delivery throughput, live lease ages, and the speculation count. Pure
-/// so the format is unit-testable; the accept loop feeds it live state.
+/// delivery throughput (sorted by name), live lease ages, and the
+/// speculation count. Pure so the format is unit-testable;
+/// [`print_status`] feeds it live state.
 fn status_line(
     done: usize,
     total: usize,
     elapsed: Duration,
-    delivered: &[(String, usize)],
+    delivered: &HashMap<String, usize>,
     leases: &[crate::lease::LeaseStat],
     speculative: usize,
 ) -> String {
     let secs = elapsed.as_secs_f64();
     let mut line = format!("queen: {done}/{total} cells in {secs:.0}s");
     if !delivered.is_empty() {
+        let mut delivered: Vec<_> = delivered.iter().collect();
+        delivered.sort();
         let workers: Vec<String> = delivered
-            .iter()
+            .into_iter()
             .map(|(name, cells)| {
                 let rate = if secs > 0.0 { *cells as f64 / secs } else { 0.0 };
                 format!("{name} {cells} ({rate:.1}/s)")
@@ -568,10 +576,49 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_state_ends_the_run_with_an_error() {
+        let path = std::env::temp_dir().join(format!(
+            "cohmeleon-queen-poisoned-{}.jsonl",
+            std::process::id()
+        ));
+        let shared = Mutex::new(Shared {
+            table: LeaseTable::new(0..4, 1, Duration::from_secs(1)),
+            ledger: RecordLedger::default(),
+            writer: CheckpointWriter::open(&path, 0).unwrap(),
+            ran: 0,
+            capped: false,
+            complete: false,
+            error: None,
+            workers: HashSet::new(),
+            delivered: HashMap::new(),
+        });
+        let handler = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = shared.lock().unwrap();
+                    panic!("handler bug while holding the queen state");
+                })
+                .join()
+        });
+        assert!(handler.is_err() && shared.is_poisoned());
+
+        let poisoned = Some("queen state poisoned by a panicking handler");
+        assert!(lock(&shared).finished());
+        assert_eq!(lock(&shared).error.as_deref(), poisoned);
+        // The end-of-run unwrap reports it too, so `run_queen` returns it
+        // as `InvalidData`.
+        assert_eq!(
+            unpoison(shared.into_inner(), |s| s).error.as_deref(),
+            poisoned
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn status_line_reports_workers_leases_and_speculation() {
         use crate::lease::LeaseStat;
 
-        let delivered = vec![("alpha".to_string(), 8), ("beta".to_string(), 4)];
+        let delivered = HashMap::from([("beta".to_string(), 4), ("alpha".to_string(), 8)]);
         let leases = vec![
             LeaseStat {
                 id: 3,
@@ -609,7 +656,7 @@ mod tests {
 
     #[test]
     fn status_line_is_minimal_with_no_workers() {
-        let line = status_line(0, 40, Duration::from_secs(0), &[], &[], 0);
+        let line = status_line(0, 40, Duration::from_secs(0), &HashMap::new(), &[], 0);
         assert_eq!(line, "queen: 0/40 cells in 0s");
     }
 }

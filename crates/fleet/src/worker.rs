@@ -8,11 +8,14 @@
 //! instant loses at most the cell in flight, and the queen's speculative
 //! re-lease covers the hole. A background ticker sends `HEARTBEAT` for
 //! the lease being worked at a third of the TTL, so a slow cell (one can
-//! take minutes at full scale) is not mistaken for a dead worker.
+//! take minutes at full scale) is not mistaken for a dead worker. The
+//! ticker sleeps on a stop channel, so the session's end stops it at
+//! once rather than after its period.
 
 use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -124,26 +127,15 @@ where
 
     // Heartbeat ticker: whatever lease is current gets a HEARTBEAT at a
     // third of the TTL, so a long-running cell does not look dead.
+    // Dropping `stop` disconnects the channel and ends it at once.
     let current_lease = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, stopped) = mpsc::channel::<()>();
     let ticker = {
         let writer = Arc::clone(&writer);
         let current_lease = Arc::clone(&current_lease);
-        let stop = Arc::clone(&stop);
         let period = Duration::from_millis((ttl_ms / 3).max(50));
-        // Sleep in short slices so a finished worker joins the ticker
-        // promptly instead of waiting out a full period (a third of the
-        // TTL — seconds — which would dominate short sweeps' wall time).
-        let slice = period.min(Duration::from_millis(20));
         std::thread::spawn(move || {
-            let mut slept = Duration::ZERO;
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(slice);
-                slept += slice;
-                if slept < period {
-                    continue;
-                }
-                slept = Duration::ZERO;
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
                 let lease = current_lease.load(Ordering::Acquire);
                 if lease != 0 {
                     // A failed send means the connection is gone; the
@@ -168,8 +160,8 @@ where
         options,
         &mut report,
     );
-    stop.store(true, Ordering::Release);
     current_lease.store(0, Ordering::Release);
+    drop(stop);
     let _ = ticker.join();
     outcome.map(|()| report)
 }
@@ -220,9 +212,8 @@ fn work_loop(
 }
 
 /// Retries the initial connect in 20 ms slices capped at the remaining
-/// window — the same slicing discipline as the heartbeat ticker — so
-/// `--retry-ms` bounds how long a worker lingers instead of overshooting
-/// by up to a full backoff period.
+/// window, so `--retry-ms` bounds how long a worker lingers instead of
+/// overshooting by up to a full backoff period.
 fn connect_with_retry(addr: &str, window: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + window;
     let slice = Duration::from_millis(20);

@@ -3,12 +3,16 @@
 //! Serial run produces — including with a worker killed mid-lease (on a
 //! plain grid and on a grid of scoped, reweighted learner cells), with
 //! the queen capped ("killed") and resumed, and with a stalled worker
-//! whose lease must expire and be speculatively re-dispatched.
+//! whose lease must expire and be speculatively re-dispatched. Both ends
+//! stop on events: a queen on an unspecified address still wakes when its
+//! last worker leaves, and a worker's heartbeat ticker stops on the
+//! session's end rather than after its period.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use cohmeleon_exp::{
     canonical_jsonl, AgentScope, Experiment, LearnerSpec, PolicyKind, Serial, SweepGrid,
@@ -30,6 +34,21 @@ fn grid() -> SweepGrid {
     Experiment::evaluate(config, app)
         .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
         .seeds([1, 2, 3])
+        .build()
+        .unwrap()
+}
+
+/// Two cheap cells, for the tests that time the fleet's own edges.
+fn tiny_grid() -> SweepGrid {
+    let config = soc1();
+    let params = GeneratorParams {
+        phases: 1,
+        ..GeneratorParams::quick()
+    };
+    let app = generate_app(&config, &params, 1);
+    Experiment::evaluate(config, app)
+        .policy_kinds([PolicyKind::FixedNonCoh])
+        .seeds([1, 2])
         .build()
         .unwrap()
 }
@@ -321,5 +340,64 @@ fn stalled_lease_is_speculatively_re_dispatched() {
     assert!(report.complete);
     assert!(report.speculative >= 1, "no speculative re-lease happened");
     assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A queen bound to `0.0.0.0` wakes its accept loop through loopback when
+/// its only worker leaves. A missed wake would block the queen in
+/// `accept` for good, so it runs on its own thread and the test waits for
+/// its report with a deadline instead of joining.
+#[test]
+fn queen_on_unspecified_address_returns_when_its_worker_leaves() {
+    let grid = tiny_grid();
+    let clean = canonical_jsonl(&grid.collect_records(&Serial));
+    let path = tmp_path("unspecified");
+
+    let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+    let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+    let (report_tx, report_rx) = mpsc::channel();
+    let queen = {
+        let (grid, path) = (grid.clone(), path.clone());
+        std::thread::spawn(move || {
+            let report = run_queen(&grid, listener, &path, &queen_options(2_000));
+            let _ = report_tx.send(report);
+        })
+    };
+    run_worker(&addr, resolver(&grid), &worker_options("only")).unwrap();
+
+    let report = report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("queen still accepting 30 s after its only worker left")
+        .unwrap();
+    queen.join().unwrap();
+    assert!(report.complete);
+    assert_eq!(report.workers, 1);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A 60 s lease TTL gives the worker a 20 s heartbeat period; the session
+/// still ends as soon as the grid does, because the ticker stops on the
+/// signal, not on its next tick.
+#[test]
+fn long_heartbeat_period_does_not_delay_the_worker() {
+    let grid = tiny_grid();
+    let path = tmp_path("long-ttl");
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let options = queen_options(60_000);
+    let (report, elapsed) = std::thread::scope(|scope| {
+        let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
+        let start = Instant::now();
+        run_worker(&addr, resolver(&grid), &worker_options("w")).unwrap();
+        let elapsed = start.elapsed();
+        (queen.join().unwrap().unwrap(), elapsed)
+    });
+    assert!(report.complete);
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "run_worker took {elapsed:?} with a 20 s heartbeat period"
+    );
     std::fs::remove_file(&path).unwrap();
 }

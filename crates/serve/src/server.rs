@@ -1,9 +1,10 @@
 //! The decision server: concurrent clients, a read path that holds no
 //! lock while it decides, and atomic snapshot hot-swap.
 //!
-//! Mirrors the fleet queen's shape — a non-blocking accept loop inside
-//! `std::thread::scope`, one handler thread per connection polling with a
-//! short read timeout — but the shared state is deliberately different:
+//! Mirrors the fleet queen's shape — a blocking [`Acceptor`] loop inside
+//! `std::thread::scope` that the last handler out after `SHUTDOWN` wakes,
+//! one handler thread per connection polling with a short read timeout —
+//! but the shared state is deliberately different:
 //! where the queen funnels every message through one mutex, the server's
 //! hot path takes one read lock per batch, for an `Arc` clone. The live
 //! table is an `Arc<TableVersion>` behind a [`SwapCell`]; a `DECIDE`
@@ -15,11 +16,11 @@
 
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, LineReader, Role};
+use cohmeleon_chaos::{Acceptor, FaultPlan, FaultyTransport, LineReader, Role};
 use cohmeleon_core::frozen::{mask_modes, FrozenSnapshot};
 use cohmeleon_core::{AccelInstanceId, AccelKindId};
 
@@ -98,8 +99,8 @@ struct Shared {
 ///
 /// # Errors
 ///
-/// Setup failures (non-blocking mode) and accept-loop I/O errors. Per-
-/// connection errors close that connection only.
+/// Setup failures (setting the listener's mode, reading its address)
+/// and accept-loop I/O errors. Per-connection errors close that connection only.
 pub fn run_server(
     listener: TcpListener,
     initial: FrozenSnapshot,
@@ -120,36 +121,24 @@ pub fn run_server(
         shutdown: AtomicBool::new(false),
     };
 
-    listener.set_nonblocking(true)?;
-    let active = AtomicUsize::new(0);
+    let acceptor = Acceptor::new(listener)?;
     let mut accept_error: Option<io::Error> = None;
-    std::thread::scope(|scope| {
-        loop {
-            if shared.shutdown.load(Ordering::Acquire) && active.load(Ordering::Acquire) == 0 {
-                break;
+    std::thread::scope(|scope| loop {
+        match acceptor.accept() {
+            Ok(Some(stream)) => {
+                shared.clients.fetch_add(1, Ordering::Relaxed);
+                let (shared, acceptor) = (&shared, &acceptor);
+                let options = options.clone();
+                scope.spawn(move || {
+                    serve_client(stream, shared, &options);
+                    acceptor.leave(|| shared.shutdown.load(Ordering::Acquire));
+                });
             }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    shared.clients.fetch_add(1, Ordering::Relaxed);
-                    active.fetch_add(1, Ordering::AcqRel);
-                    let shared = &shared;
-                    let active = &active;
-                    let options = options.clone();
-                    scope.spawn(move || {
-                        serve_client(stream, shared, &options);
-                        active.fetch_sub(1, Ordering::AcqRel);
-                    });
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => {
-                    accept_error = Some(e);
-                    shared.shutdown.store(true, Ordering::Release);
-                }
+            Ok(None) => break,
+            Err(e) => {
+                accept_error = Some(e);
+                shared.shutdown.store(true, Ordering::Release);
+                break;
             }
         }
     });

@@ -168,4 +168,7 @@ fn pre_handshake_rejection_closes_the_connection() {
     client.shutdown().expect("shutdown");
     let report = server.join().expect("server thread").expect("server ran");
     assert_eq!(report.errors, 1);
+    // The connection that wakes the accept loop at shutdown is neither a
+    // client nor an error.
+    assert_eq!(report.clients, 2);
 }
