@@ -8,9 +8,8 @@
 //! the `cohmeleon-exp` experiment grid — a figure is one `Experiment`
 //! (scenarios × policies × seeds) run on the work-stealing executor, so
 //! regeneration parallelises across cells while staying bit-identical to
-//! a serial run. The `src/bin/` binaries are thin wrappers; the criterion
-//! benches under `benches/` time scaled-down versions of the same code
-//! paths.
+//! a serial run. The `src/bin/` binaries are thin wrappers; timing is
+//! the separate `perfbench` crate's job.
 //!
 //! Set `COHMELEON_FAST=1` to run every experiment in a reduced
 //! configuration (smaller workloads, fewer training iterations) — useful

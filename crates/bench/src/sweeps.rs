@@ -79,8 +79,8 @@ pub fn named_experiment(name: &str, scale: Scale) -> Result<Experiment, String> 
     Ok(experiment.resume_from(format!("{name}.jsonl")))
 }
 
-/// The tracked three-policy suite on SoC1 (the `perf_baseline` regime):
-/// small and fast, which makes it the CI resume and fleet smoke grid.
+/// The tracked three-policy suite on SoC1 ([`crate::tracked::SUITE`]) over
+/// four seeds: small and fast, which makes it the CI resume and fleet smoke grid.
 fn suite(scale: Scale) -> Experiment {
     let config = soc1();
     let params = scale.pick(

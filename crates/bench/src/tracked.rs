@@ -1,13 +1,12 @@
-//! The *tracked* performance suites: the exact grids `perf_baseline`
-//! times and records in `BENCH_hotpath.json`, exposed as a library so
-//! tests can pin their per-cell structural hashes. The golden-hash gate
-//! (`crates/bench/tests/suite_goldens.rs`) is what lets hot-path
-//! refactors — flat-state sensing, batched event draining, cache layout
-//! changes — land with proof that modeled behaviour did not move by a
-//! single bit.
+//! The *tracked* suites: soc1 × quick and soc6 × large/extra-large
+//! under the three-policy [`SUITE`], exposed as a library so tests can
+//! pin their per-cell structural hashes and their event, invocation and
+//! cycle totals. The golden gate (`crates/bench/tests/suite_goldens.rs`)
+//! is what lets hot-path refactors — flat-state sensing, batched event
+//! draining, cache layout changes — land with proof that modeled
+//! behaviour did not move by a single bit.
 
 use cohmeleon_exp::{Experiment, SweepGrid};
-use cohmeleon_soc::config::soc1;
 use cohmeleon_soc::SocConfig;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 use cohmeleon_workloads::sizes::SizeClass;
@@ -21,8 +20,6 @@ pub const SUITE: [PolicyKind; 3] =
 pub const TRAIN_ITERATIONS: usize = 2;
 /// The tracked suites' single grid seed.
 pub const SEED: u64 = 7;
-/// Seeds of the executor-speedup grid (cells = seeds × policies).
-pub const SWEEP_SEEDS: [u64; 4] = [1, 2, 3, 4];
 
 /// The generator preset of the soc6-scale suite: Large/Extra-Large
 /// datasets against soc6's LLC, so recalls, evictions and DRAM bursts
@@ -54,18 +51,3 @@ pub fn suite_grid(
         .expect("tracked suite is non-empty")
 }
 
-/// The executor and fleet measurement grid (soc1 × quick over
-/// [`SWEEP_SEEDS`]): Serial, WorkStealing and the loopback fleet all run
-/// this one deterministic grid, so their record streams compare byte for
-/// byte.
-pub fn sweep_grid() -> SweepGrid {
-    let config = soc1();
-    let train = generate_app(&config, &GeneratorParams::quick(), 1);
-    let test = generate_app(&config, &GeneratorParams::quick(), 2);
-    Experiment::train_test(config, train, test)
-        .policy_kinds(SUITE)
-        .seeds(SWEEP_SEEDS)
-        .train_iterations(TRAIN_ITERATIONS)
-        .build()
-        .expect("sweep grid is non-empty")
-}

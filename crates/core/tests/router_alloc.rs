@@ -12,9 +12,6 @@
 //! 2. Routing a learning agent adds **zero** allocations over using the
 //!    agent bare: the only allocations on a routed decide are the
 //!    agent's own (ε-greedy's tie-break vector), in equal number.
-//!
-//! The companion throughput number is the `router_dispatch` tracked
-//! measurement in `perf_baseline`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

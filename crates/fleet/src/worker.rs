@@ -180,8 +180,17 @@ fn work_loop(
         send(writer, &ToQueen::Lease)?;
         match read_reply(reader)? {
             ToWorker::Lease { id, start, len } => {
+                let end = start
+                    .checked_add(len)
+                    .filter(|&end| end <= grid.num_cells())
+                    .ok_or_else(|| {
+                        invalid(format!(
+                            "lease {id} covers cells {start}+{len}, outside the {}-cell grid",
+                            grid.num_cells()
+                        ))
+                    })?;
                 current_lease.store(id, Ordering::Release);
-                for dense in start..start + len {
+                for dense in start..end {
                     let result = grid.run_cell(grid.cell_at(dense));
                     let record = CellRecord::from_cell(&result);
                     send(

@@ -6,7 +6,8 @@
 //! whose lease must expire and be speculatively re-dispatched. Both ends
 //! stop on events: a queen on an unspecified address still wakes when its
 //! last worker leaves, and a worker's heartbeat ticker stops on the
-//! session's end rather than after its period.
+//! session's end rather than after its period. A worker refuses a lease
+//! outside its grid as invalid data.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -400,4 +401,58 @@ fn long_heartbeat_period_does_not_delay_the_worker() {
         "run_worker took {elapsed:?} with a 20 s heartbeat period"
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A hand-rolled queen that answers the handshake correctly and then
+/// leases cells outside the grid: past its end, and with a `start + len`
+/// that overflows. The worker must refuse the lease with `InvalidData`
+/// rather than index past the grid or wrap the range.
+#[test]
+fn out_of_range_lease_is_invalid_data() {
+    let grid = grid();
+    for lease in [
+        ToWorker::Lease {
+            id: 1,
+            start: 100,
+            len: 1,
+        },
+        ToWorker::Lease {
+            id: 1,
+            start: 1,
+            len: usize::MAX,
+        },
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let outcome = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut reader = LineReader::new(stream.try_clone().unwrap());
+                let hello = reader.read_line().unwrap().unwrap();
+                assert!(matches!(
+                    ToQueen::parse(&hello).unwrap(),
+                    ToQueen::Hello { .. }
+                ));
+                let hello = ToWorker::Hello {
+                    grid: "test-grid".into(),
+                    fast: false,
+                    cells: grid.num_cells(),
+                    ttl_ms: 2_000,
+                };
+                stream
+                    .write_all(format!("{}\n", hello.to_line()).as_bytes())
+                    .unwrap();
+                let ask = reader.read_line().unwrap().unwrap();
+                assert!(matches!(ToQueen::parse(&ask).unwrap(), ToQueen::Lease));
+                stream
+                    .write_all(format!("{}\n", lease.to_line()).as_bytes())
+                    .unwrap();
+                // Hold the connection until the worker hangs up.
+                while let Ok(Some(_)) = reader.read_line() {}
+            });
+            run_worker(&addr, resolver(&grid), &worker_options("w"))
+        });
+        let err = outcome.expect_err("an out-of-range lease was worked");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
 }

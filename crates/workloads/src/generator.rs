@@ -57,7 +57,7 @@ impl Default for GeneratorParams {
 }
 
 impl GeneratorParams {
-    /// A reduced configuration for fast tests and criterion benches:
+    /// A reduced configuration for fast tests and the tracked suites:
     /// two phases, few threads, Small/Medium sizes only.
     pub fn quick() -> GeneratorParams {
         GeneratorParams {
